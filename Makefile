@@ -7,6 +7,7 @@ GO ?= go
 build:
 	$(GO) build ./...
 	$(GO) build ./examples/...
+	$(GO) -C perfbench build -o /dev/null .
 
 test:
 	$(GO) test ./...

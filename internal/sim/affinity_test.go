@@ -7,9 +7,8 @@ import (
 )
 
 // recoverInProc runs body inside a process on engine e and returns the
-// panic value the body raised (nil if none). The recover must happen
-// inside the process body itself: proc panics unwind on the proc's own
-// goroutine, outside the test goroutine's reach.
+// panic value the body raised (nil if none). Recovering inside the body
+// lets the engine keep running, so Run returns normally.
 func recoverInProc(e *Engine, body func(p *Proc)) (got interface{}) {
 	e.Spawn("violator", func(p *Proc) {
 		defer func() { got = recover() }()

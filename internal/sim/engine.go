@@ -10,7 +10,11 @@ import (
 // and live directly in the engine's heap slice: scheduling neither
 // heap-allocates an event nor boxes it through an interface (the old
 // *event + container/heap queue paid both per event). tslot links a
-// cancellable event to its timer slot, -1 for plain events.
+// cancellable event to its timer slot (>= 0); a process wakeup carries
+// its coroutine's tag instead (<= -2, see Proc.wakeAt), and every other
+// event -1. One field for both keeps event at four fields: the compiler
+// copies it in registers, where a fifth field would send every append
+// and sift through a stack temporary.
 type event struct {
 	at    Time
 	seq   uint64
@@ -134,7 +138,8 @@ func (e *Engine) removeEvent(i int) {
 // Engine owns the virtual clock and the pending-event queue.
 //
 // All simulation code — event callbacks and process bodies — runs under the
-// engine's strict handoff discipline, so engine state never needs locking.
+// engine's strict handoff discipline (one coroutine at a time), so engine
+// state never needs locking.
 // Calling engine methods from goroutines outside the simulation is not
 // supported.
 type Engine struct {
@@ -150,19 +155,15 @@ type Engine struct {
 	timers []timerSlot
 	freeT  []int32
 
-	// carrier is the process whose goroutine currently runs the event
-	// loop (nil: the Run caller's goroutine). mainWake is the Run
-	// caller's handoff channel; unwind tells the innermost loop frame to
-	// return (set inside a dispatched event); bound is the RunUntil time
-	// limit for every loop frame of the current run.
-	carrier  *Proc
-	mainWake chan uint8
-	unwind   int
-	bound    Time
-	panicVal interface{} // event panic in flight to the Run caller
+	// bound is the time limit of the current Run/RunUntil.
+	bound Time
+
+	// coros holds every coroutine the engine created; idle is the pool
+	// of those whose process finished.
+	coros []*coro
+	idle  []*coro
 
 	procs   int // live (not yet finished) processes
-	live    map[*Proc]struct{}
 	stopped bool
 
 	// id names the engine in affinity diagnostics; dead marks an engine
@@ -238,11 +239,7 @@ var engineSeq atomic.Uint64
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		id:       engineSeq.Add(1),
-		mainWake: make(chan uint8),
-		live:     map[*Proc]struct{}{},
-	}
+	return &Engine{id: engineSeq.Add(1)}
 }
 
 // ID returns the engine's process-unique id (used in diagnostics).
@@ -285,23 +282,21 @@ func (e *Engine) touch(what string) {
 // untouch releases the marker set by touch.
 func (e *Engine) untouch() { e.busy.Store(0) }
 
-// Shutdown terminates every parked process so their goroutines exit. Call
-// it when a simulation is abandoned (testbed teardown); the engine must
-// not be running. The engine remains usable only for inspection afterward.
+// Shutdown terminates every parked process and stops every pooled
+// coroutine, so their goroutines exit; processes that never started are
+// dropped. Call it when a simulation is abandoned (testbed teardown); the
+// engine must not be running. The engine remains usable only for
+// inspection afterward.
 func (e *Engine) Shutdown() {
 	e.dead = true
 	if e.obs != nil {
 		e.obs.Shutdown(e.now)
 	}
-	for p := range e.live {
-		if p.done {
-			continue
-		}
-		p.kill = true
-		p.wake <- wakeKill
-		<-e.mainWake // the dying process hands control back
+	for _, c := range e.coros {
+		c.stop()
 	}
-	e.live = map[*Proc]struct{}{}
+	e.coros, e.idle = nil, nil
+	e.procs = 0
 	e.events = nil
 	e.timers = nil
 	e.freeT = nil
@@ -404,7 +399,8 @@ func (e *Engine) At(t Time, fn func()) {
 	e.schedule(t, fn, -1)
 }
 
-// schedule is the shared insertion path for At and AtTimer. The affinity
+// schedule is the shared insertion path for At, AtTimer and process
+// wakeups. The affinity
 // bracket is inlined (no defer) — this runs once per scheduled event and
 // is the hottest function in the simulator.
 //
@@ -442,26 +438,18 @@ func (e *Engine) Stop() { e.stopped = true }
 // maxTime is Run's bound: later than any schedulable instant.
 const maxTime = Time(1<<63 - 1)
 
-// loop dispatches events in time order on the calling goroutine until the
-// queue drains, the bound passes, Stop is consumed, or a dispatched event
-// sets an unwind code (the carrier process was woken mid-loop, or a
-// process finished the run under the Run caller's feet). Any simulation
-// goroutine may run it — the carrier discipline guarantees exactly one
-// does at a time.
+// loop dispatches events in time order on the Run/RunUntil caller until
+// the queue drains, the bound passes, or Stop is consumed. A process
+// wakeup switches to the process's coroutine and back (see Proc.park).
 //
 //putget:hot
-func (e *Engine) loop() int {
+func (e *Engine) loop() {
 	for !e.stopped && len(e.events) > 0 && e.events[0].at <= e.bound {
 		at, fn := e.popMin()
 		e.now = at
 		e.executed++
 		fn()
-		if u := e.unwind; u != unwindNone {
-			e.unwind = unwindNone
-			return u
-		}
 	}
-	return unwindNone
 }
 
 // Run executes events in time order until the queue drains or Stop is

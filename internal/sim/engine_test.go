@@ -317,3 +317,132 @@ func TestEngineUsableForInspectionAfterShutdown(t *testing.T) {
 		t.Fatalf("Now = %v", e.Now())
 	}
 }
+
+// settleGoroutines waits for exited goroutines to be reaped and returns
+// the count once it is at most limit (or the last count seen).
+func settleGoroutines(limit int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > limit; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestShutdownUnstartedProcsAndUnrunEngines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		// Procs spawned for a future instant the run never reaches.
+		e := NewEngine()
+		started := false
+		for j := 0; j < 4; j++ {
+			e.SpawnAt(1000, "late", func(p *Proc) { started = true })
+		}
+		e.Spawn("early", func(p *Proc) { p.Sleep(10) })
+		e.RunUntil(100)
+		e.Shutdown()
+		if started || e.Live() != 0 {
+			t.Fatalf("started = %v, Live = %d after Shutdown", started, e.Live())
+		}
+
+		// An engine that was never Run.
+		u := NewEngine()
+		u.Spawn("never", func(p *Proc) { t.Error("never-run engine started a proc") })
+		u.SpawnAt(50, "never-later", func(p *Proc) {})
+		u.Shutdown()
+		if u.Live() != 0 {
+			t.Fatalf("Live = %d after Shutdown of a never-run engine", u.Live())
+		}
+	}
+	if after := settleGoroutines(before + 5); after > before+5 {
+		t.Fatalf("goroutines leaked: %d -> %d", before, after)
+	}
+}
+
+func TestProcPanicPropagatesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	type boom struct{ at Time }
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.Spawn("parked", func(p *Proc) { sig.Wait(p) })
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(1000) })
+	val := &boom{}
+	e.Spawn("panicker", func(p *Proc) {
+		p.Sleep(10)
+		val.at = p.Now()
+		panic(val)
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != val {
+				t.Fatalf("Run panicked with %v, want the proc's original value %v", r, val)
+			}
+		}()
+		e.Run()
+		t.Fatal("Run returned without the proc's panic")
+	}()
+	if val.at != 10 || e.Now() != 10 {
+		t.Fatalf("panic at %v, Now %v; want both 10", val.at, e.Now())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Fatalf("Live = %d after Shutdown", e.Live())
+	}
+	if after := settleGoroutines(before + 2); after > before+2 {
+		t.Fatalf("goroutines leaked: %d -> %d", before, after)
+	}
+}
+
+func TestSequentialSpawnsReuseCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	const n = 5000
+	ran, peak := 0, 0
+	e.Spawn("spawner", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			e.Spawn("op", func(q *Proc) {
+				q.Sleep(3)
+				ran++
+			})
+			p.Sleep(5)
+			if g := runtime.NumGoroutine(); g > peak {
+				peak = g
+			}
+		}
+	})
+	e.Run()
+	if ran != n || e.Live() != 0 {
+		t.Fatalf("ran %d of %d ops, Live = %d", ran, n, e.Live())
+	}
+	if peak > before+4 || len(e.coros) > 2 {
+		t.Fatalf("%d sequential spawns grew goroutines %d -> %d over %d coroutines: finished coroutines are not reused",
+			n, before, peak, len(e.coros))
+	}
+	e.Shutdown()
+	if after := settleGoroutines(before + 1); after > before+1 {
+		t.Fatalf("idle coroutines survived Shutdown: %d -> %d", before, after)
+	}
+}
+
+func TestSelfWakeHonoursBoundAndStop(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.Spawn("ticker", func(p *Proc) {
+		for n < 100 {
+			p.Sleep(1)
+			n++
+			if n == 15 {
+				e.Stop()
+			}
+		}
+	})
+	e.RunUntil(10)
+	if n != 10 || e.Now() != 10 || e.Executed() != 11 {
+		t.Fatalf("RunUntil(10): n = %d, Now = %v, Executed = %d; want 10, 10, 11", n, e.Now(), e.Executed())
+	}
+	e.Run()
+	if n != 15 || e.Now() != 15 || e.Pending() != 1 {
+		t.Fatalf("Run with Stop at n=15: n = %d, Now = %v, Pending = %d", n, e.Now(), e.Pending())
+	}
+	e.Shutdown()
+}

@@ -1,39 +1,28 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
-
-// Wake tokens travel the per-goroutine handoff channels.
-const (
-	wakeResume   = iota // you own the simulation: start, or return from park
-	wakeKill            // unwind via the kill sentinel (Shutdown)
-	wakeLoopDone        // (mainWake) the event loop finished; Run returns
-	wakeContinue        // (mainWake) a process died; Run's goroutine resumes the loop
-	wakePanic           // (mainWake) an event panicked; Run's goroutine re-panics
+import (
+	"fmt"
+	"iter"
 )
 
-// Unwind codes communicate, through Engine.unwind, why the innermost loop
-// frame must return. They are set inside a dispatched event and checked by
-// the loop after each dispatch.
-const (
-	unwindNone    = iota
-	unwindResumed // the carrier process was woken: return from park
-	unwindDone    // a process finished the loop; the Run caller returns
-)
-
-// Proc is a simulation process: a goroutine that runs model code and blocks
-// on virtual time. A Proc may only execute while the engine has handed
-// control to it; it returns control by sleeping, waiting, or finishing.
+// Proc is a simulation process: model code that blocks on virtual time.
+// A Proc runs on a runtime coroutine (iter.Pull) and executes only while
+// the event loop has switched to it; it switches back by sleeping,
+// waiting, or finishing.
 //
-// Control transfer follows the carrier discipline (see Engine.loop): a
-// parked process's own goroutine keeps running the event loop, so waking
-// the process whose wakeup is the next event — the overwhelmingly common
-// case in polling-heavy models — is a flag store, not a goroutine switch.
+// The event loop always runs on the Run/RunUntil caller. An event that
+// wakes a process calls resume, which switches to the process's
+// coroutine; park switches back. A process whose own wakeup is the next
+// event to dispatch pops it in park and continues without switching —
+// the overwhelmingly common case in polling-heavy models.
 type Proc struct {
 	e    *Engine
 	name string
-	wake chan uint8
+	fn   func(p *Proc)
+	co   *coro // nil until the start event binds a coroutine
 	done bool
-	kill bool
 
 	// resumeF is the resume method value, built once at spawn so the hot
 	// wake paths (Sleep, Signal.Broadcast, Resource.Release, ...) schedule
@@ -41,8 +30,21 @@ type Proc struct {
 	resumeF func()
 }
 
-// procKilled is the sentinel panic value Shutdown injects into parked
-// processes; the spawn wrapper recovers it and exits cleanly.
+// coro is a pooled coroutine that runs process bodies one after another.
+// When a body returns, the coroutine parks in its engine's idle pool and
+// the next started process reuses it, so per-operation processes pay
+// neither goroutine creation nor stack regrowth.
+type coro struct {
+	e     *Engine
+	tag   int32 // -2 - index in Engine.coros: the tslot of events that resume it
+	p     *Proc // the process being run, nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// procKilled is the sentinel panic value park raises when Shutdown stops
+// a parked process; the coroutine recovers it and exits cleanly.
 var procKilled = new(int)
 
 // Spawn starts fn as a new process at the current virtual time. fn begins
@@ -55,35 +57,54 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt starts fn as a new process at absolute virtual time t.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	e.mustAlive("Spawn")
-	p := &Proc{e: e, name: name, wake: make(chan uint8)}
+	p := &Proc{e: e, name: name, fn: fn}
 	p.resumeF = p.resume
 	e.procs++
-	e.live[p] = struct{}{}
-	//putget:allow engineaffinity -- this IS sim.Proc: the one goroutine birth in the sim domain; the engine serializes it via the carrier handoff
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != procKilled {
-				panic(r)
-			}
-			p.done = true
-			e.procs--
-			delete(e.live, p)
-			if p.kill {
-				e.mainWake <- wakeLoopDone // Shutdown's per-kill handshake
-				return
-			}
-			// Natural exit while carrying the loop: hand it back to the
-			// Run caller's goroutine, which resumes dispatching.
-			e.carrier = nil
-			e.mainWake <- wakeContinue
-		}()
-		if <-p.wake == wakeKill {
-			panic(procKilled)
-		}
-		fn(p)
-	}()
 	e.At(t, p.resumeF)
 	return p
+}
+
+// coroutine takes an idle coroutine from the pool, most recently used
+// first (its stack is warm and already grown), or creates one.
+func (e *Engine) coroutine() *coro {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &coro{e: e, tag: -2 - int32(len(e.coros))}
+	c.next, c.stop = iter.Pull(c.body)
+	e.coros = append(e.coros, c)
+	return c
+}
+
+// body is the coroutine body: run the bound process, return to the idle
+// pool, repeat until Shutdown stops the coroutine.
+func (c *coro) body(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() {
+		c.p = nil
+		c.e.idle = append(c.e.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the bound process's body and reports whether it returned.
+// A kill unwinds it and reports false; any other panic propagates through
+// the coroutine's next to the Run caller with its original value.
+func (c *coro) run() (returned bool) {
+	p := c.p
+	defer func() {
+		if r := recover(); r != nil && r != procKilled {
+			panic(r)
+		}
+		p.done = true
+		c.e.procs--
+	}()
+	p.fn(p)
+	return true
 }
 
 // Name returns the process name (used in traces and panics).
@@ -98,88 +119,49 @@ func (p *Proc) Now() Time { return p.e.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// resume transfers the simulation to p. It runs in dispatch context, on
-// whichever goroutine currently carries the event loop. Fast path: when p
-// itself is the carrier (it parked and its own wakeup is the event being
-// dispatched), resumption is a flag store — no goroutine switch at all.
-// Otherwise the carrier wakes p's goroutine and blocks until the
-// simulation is handed back to it.
+// resume switches from the event loop to p until p parks or finishes. The
+// start event binds p to a coroutine. resume must be the last thing its
+// event does: park's self-wake shortcut dispatches p's next wakeup before
+// the waking event's code after resume would run.
 //
 //putget:hot
 func (p *Proc) resume() {
-	e := p.e
-	c := e.carrier
-	if c == p {
-		e.unwind = unwindResumed
-		return
-	}
-	e.carrier = p
-	p.wake <- wakeResume
+	c := p.co
 	if c == nil {
-		// We are the Run caller: blocked until the loop finishes (a
-		// carrier drained it — Run returns), a process dies carrying it
-		// (we take the loop back over), or an event panics on a carrier
-		// (we re-raise it so Run's caller sees the panic, exactly as when
-		// the event runs on this goroutine directly).
-		switch <-e.mainWake {
-		case wakeLoopDone:
-			e.unwind = unwindDone
-		case wakePanic:
-			v := e.panicVal
-			e.panicVal = nil
-			panic(v)
-		}
-		return
+		c = p.e.coroutine()
+		c.p = p
+		p.co = c
 	}
-	// We are a parked process: blocked until our own wakeup dispatches,
-	// or Shutdown kills us.
-	if <-c.wake == wakeKill {
-		panic(procKilled)
-	}
-	e.unwind = unwindResumed
+	c.next()
 }
 
-// park returns control to the engine by running the event loop on this
-// goroutine until something resumes the process. If the loop finishes
-// first, completion is handed to the Run caller and the process stays
-// parked (a later Run may still wake it; Shutdown kills it). If a
-// dispatched event panics, the value is forwarded to the Run caller —
-// an event's panic must surface out of Run/RunUntil no matter whose
-// goroutine dispatched it — and the process likewise stays parked.
+// wakeAt schedules p's resumption at t, tagged with p's coroutine so park
+// can recognise it.
+//
+//putget:hot
+func (p *Proc) wakeAt(t Time) {
+	p.e.schedule(t, p.resumeF, p.co.tag)
+}
+
+// park returns control to the event loop until p's wakeup dispatches. If
+// that wakeup is the next event the loop would run, park dispatches it
+// itself — the same pop the loop would make — and returns without
+// switching. A false yield means Shutdown stopped the coroutine: unwind.
 //
 //putget:hot
 func (p *Proc) park() {
 	e := p.e
-	if p.carryLoop() == unwindNone {
-		e.carrier = nil
-		e.mainWake <- wakeLoopDone
-		if <-p.wake == wakeKill {
-			panic(procKilled)
+	if len(e.events) > 0 {
+		if ev := &e.events[0]; ev.tslot == p.co.tag && ev.at <= e.bound && !e.stopped {
+			e.now = ev.at
+			e.executed++
+			e.popMin()
+			return
 		}
 	}
-}
-
-// carryLoop runs the event loop for park, converting a panic raised by a
-// dispatched event into a wakePanic handoff to the Run caller. The kill
-// sentinel is re-raised untouched: it means this process was terminated
-// while blocked inside a nested handoff, and must keep unwinding.
-func (p *Proc) carryLoop() (u int) {
-	e := p.e
-	defer func() {
-		if r := recover(); r != nil {
-			if r == procKilled {
-				panic(procKilled)
-			}
-			e.panicVal = r
-			e.carrier = nil
-			e.mainWake <- wakePanic
-			if <-p.wake == wakeKill {
-				panic(procKilled)
-			}
-			u = unwindResumed
-		}
-	}()
-	return e.loop()
+	if !p.co.yield(struct{}{}) {
+		panic(procKilled)
+	}
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations
@@ -190,7 +172,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.After(d, p.resumeF)
+	p.wakeAt(p.e.now.Add(d))
 	p.park()
 }
 
@@ -202,7 +184,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < p.e.now {
 		panic(fmt.Sprintf("sim: %s sleeping until %v which is before now %v", p.name, t, p.e.now))
 	}
-	p.e.At(t, p.resumeF)
+	p.wakeAt(t)
 	p.park()
 }
 

@@ -50,7 +50,7 @@ func (r *Resource) Release() {
 		r.queue[0] = nil // do not retain the departing proc
 		r.queue = r.queue[1:]
 		// inUse stays: the unit transfers to w.
-		r.e.At(r.e.now, w.resumeF)
+		w.wakeAt(r.e.now)
 		return
 	}
 	r.inUse--

@@ -38,7 +38,7 @@ func (s *Signal) Broadcast() {
 	s.waiters = nil
 	for i := range ws {
 		ws[i].timer.Cancel()
-		s.e.At(s.e.now, ws[i].p.resumeF)
+		ws[i].p.wakeAt(s.e.now)
 	}
 }
 
@@ -82,7 +82,7 @@ func (s *Signal) Pulse() bool {
 	s.waiters[0] = waiter{}
 	s.waiters = s.waiters[1:]
 	w.timer.Cancel()
-	s.e.At(s.e.now, w.p.resumeF)
+	w.p.wakeAt(s.e.now)
 	return true
 }
 

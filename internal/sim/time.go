@@ -3,9 +3,9 @@
 // The kernel drives every hardware model in this repository: GPU warps,
 // host CPU threads, NIC engines and PCIe links are all sim processes that
 // advance a shared virtual clock. Determinism is guaranteed by a strict
-// handoff discipline: exactly one goroutine (either the engine or a single
-// process) runs at any instant, and simultaneous events fire in the order
-// they were scheduled.
+// handoff discipline: exactly one coroutine (either the event loop on the
+// Run caller or a single process) runs at any instant, and simultaneous
+// events fire in the order they were scheduled.
 package sim
 
 import "fmt"
